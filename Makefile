@@ -12,7 +12,7 @@ SCALE ?= test
 # or proc (real etude-server processes behind the local control plane).
 PODS ?= inproc
 
-.PHONY: build test bench vet race check reproduce baseline gate infra run_deployed_benchmark benchmark profile advise clean
+.PHONY: build test bench vet race fuzz check reproduce baseline gate infra run_deployed_benchmark benchmark profile advise clean
 
 # Process tests exec a real etude-server; build it once here so every test
 # package shares one binary instead of each invoking `go build`.
@@ -44,6 +44,15 @@ race:
 	go vet ./...
 	go test -race ./...
 
+# A short fuzzing burst per target (go test takes one -fuzz target per run):
+# the exact MIPS kernel against its unfused reference, the power-law fit and
+# the click-log parser. A failing input is written under the package's
+# testdata/fuzz/ and from then on runs as a regression case in `go test`.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzTopK$$' -fuzztime 10s ./internal/topk
+	go test -run '^$$' -fuzz '^FuzzFitFlooredPareto$$' -fuzztime 10s ./internal/powerlaw
+	go test -run '^$$' -fuzz '^FuzzReadClicks$$' -fuzztime 10s ./internal/workload
+
 # The merge gate (also run by CI): build + vet + full suite, plus the race
 # detector on the packages with real concurrency — the cluster lifecycle
 # (drain/scale/rolling-update/supervisor, the process runner and control
@@ -53,7 +62,8 @@ race:
 # the overload controllers (CoDel, AIMD limiter) hammered from many
 # goroutines, and the chaos drivers including the shard-blackout scenario.
 # Process tests (real SIGKILL blackouts included) use the prebuilt
-# bin/etude-server; skip them with `go test -short`.
+# bin/etude-server; skip them with `go test -short`. The fuzz targets then
+# get their short burst (see `make fuzz`).
 # The final step is the perf-regression gate: it re-runs the smoke grid
 # (bench/smoke.json) and fails when any gated metric drifts beyond the
 # noise band of the committed baselines in results/baselines/, naming the
@@ -63,6 +73,7 @@ check: bin/etude-server bin/etude
 	go vet ./...
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test ./...
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test -race ./internal/cluster ./internal/server ./internal/loadgen ./internal/trace ./internal/metrics ./internal/shard ./internal/topk ./internal/overload ./internal/chaos ./internal/leakcheck ./internal/sched ./internal/workload ./internal/deploy
+	$(MAKE) fuzz
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server bin/etude bench -grid bench/smoke.json
 
 # One-command reproduction of the paper: run every experiment in

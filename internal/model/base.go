@@ -56,16 +56,6 @@ func (b *base) score(rep *tensor.Tensor) []topk.Result {
 	return topk.TopK(b.emb.Weight, rep, b.cfg.TopK)
 }
 
-// compiledScorer returns a scoring closure that reuses a single score buffer
-// across calls — the main memory-allocation win of the JIT path.
-func (b *base) compiledScorer() func(rep *tensor.Tensor) []topk.Result {
-	buf := tensor.New(b.cfg.CatalogSize)
-	return func(rep *tensor.Tensor) []topk.Result {
-		tensor.MatVecInto(buf, b.emb.Weight, rep)
-		return topk.SelectFromScores(buf.Data(), b.cfg.TopK)
-	}
-}
-
 // positionTable returns a learned positional embedding table of maxLen rows.
 func positionTable(in *nn.Initializer, maxLen, dim int) *tensor.Tensor {
 	return in.Xavier(maxLen, dim)

@@ -96,9 +96,8 @@ func (m *GCSAN) encode(session []int64) *tensor.Tensor {
 // CompiledRecommend implements JITCompilable (host transfers remain, as in
 // the paper; they are modelled in Cost).
 func (m *GCSAN) CompiledRecommend() func(session []int64) []topk.Result {
-	scorer := m.compiledScorer()
 	return func(session []int64) []topk.Result {
-		return scorer(m.encode(session))
+		return m.score(m.encode(session))
 	}
 }
 

@@ -77,12 +77,11 @@ func (m *GRU4Rec) CompiledRecommend() func(session []int64) []topk.Result {
 	gi := tensor.New(3 * d)
 	gh := tensor.New(3 * d)
 	rep := tensor.New(d)
-	scorer := m.compiledScorer()
 	return func(session []int64) []topk.Result {
 		session = truncate(session, m.cfg.MaxSessionLen)
 		if len(session) == 0 {
 			rep.Zero()
-			return scorer(rep)
+			return m.score(rep)
 		}
 		h.Zero()
 		for _, id := range session {
@@ -91,7 +90,7 @@ func (m *GRU4Rec) CompiledRecommend() func(session []int64) []topk.Result {
 		}
 		tensor.MatVecInto(rep, projT, h)
 		rep.AddInPlace(m.proj.Bias)
-		return scorer(rep)
+		return m.score(rep)
 	}
 }
 

@@ -75,12 +75,11 @@ func (m *NARM) encodeFrom(session []int64, x *tensor.Tensor) *tensor.Tensor {
 	return m.bili.ForwardVec(tensor.Concat(global.Clone(), local))
 }
 
-// CompiledRecommend implements JITCompilable: the eager encoder is wrapped
-// with a pre-transposed decoder and a reusable score buffer.
+// CompiledRecommend implements JITCompilable; NARM's plan is its eager
+// encoder followed by the catalog scan.
 func (m *NARM) CompiledRecommend() func(session []int64) []topk.Result {
-	scorer := m.compiledScorer()
 	return func(session []int64) []topk.Result {
-		return scorer(m.encode(session))
+		return m.score(m.encode(session))
 	}
 }
 

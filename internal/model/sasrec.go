@@ -95,9 +95,8 @@ func (m *SASRec) encodeFrom(session []int64, x *tensor.Tensor) *tensor.Tensor {
 
 // CompiledRecommend implements JITCompilable.
 func (m *SASRec) CompiledRecommend() func(session []int64) []topk.Result {
-	scorer := m.compiledScorer()
 	return func(session []int64) []topk.Result {
-		return scorer(m.encode(session))
+		return m.score(m.encode(session))
 	}
 }
 

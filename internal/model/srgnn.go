@@ -88,9 +88,8 @@ func (m *SRGNN) encode(session []int64) *tensor.Tensor {
 // JIT-optimised SR-GNN still suffers from its host transfers; the transfers
 // are modelled in Cost, not here.
 func (m *SRGNN) CompiledRecommend() func(session []int64) []topk.Result {
-	scorer := m.compiledScorer()
 	return func(session []int64) []topk.Result {
-		return scorer(m.encode(session))
+		return m.score(m.encode(session))
 	}
 }
 

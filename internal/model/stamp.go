@@ -98,9 +98,8 @@ func (m *STAMP) encodeFrom(_ []int64, x *tensor.Tensor) *tensor.Tensor {
 
 // CompiledRecommend implements JITCompilable.
 func (m *STAMP) CompiledRecommend() func(session []int64) []topk.Result {
-	scorer := m.compiledScorer()
 	return func(session []int64) []topk.Result {
-		return scorer(m.encode(session))
+		return m.score(m.encode(session))
 	}
 }
 

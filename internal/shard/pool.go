@@ -13,7 +13,7 @@ import (
 // scores its slice of the catalog embedding matrix against the session
 // representation, and the partial top-k lists are merged into the exact
 // global top-k. It is safe for concurrent use — each call allocates its own
-// score buffers and partial lists.
+// partial lists, and the per-shard scans keep no score buffer.
 type Pool struct {
 	items *tensor.Tensor
 	parts []Partition
@@ -98,13 +98,11 @@ func (p *Pool) TopKPartial(query *tensor.Tensor, k int, down []bool) ([]topk.Res
 	return topk.MergePartial(partials, k), answered
 }
 
-// searchPartition scores rows [From, To) against the query and returns the
-// partition's exact top-k with item ids rebased into the global id space.
+// searchPartition runs the fused topk.TopK scan over rows [From, To) and
+// returns the partition's exact top-k with item ids rebased into the global
+// id space.
 func searchPartition(items *tensor.Tensor, part Partition, query *tensor.Tensor, k int) []topk.Result {
-	rows := items.Rows(part.From, part.To)
-	scores := tensor.New(part.Size())
-	tensor.MatVecInto(scores, rows, query)
-	recs := topk.SelectFromScores(scores.Data(), k)
+	recs := topk.TopK(items.Rows(part.From, part.To), query, k)
 	for i := range recs {
 		recs[i].Item += int64(part.From)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"etude/internal/model"
+	"etude/internal/topk"
 )
 
 func TestPlanPartitionsContiguously(t *testing.T) {
@@ -83,9 +84,10 @@ func TestMergeOpsGrowsWithShards(t *testing.T) {
 	}
 }
 
-// The in-process tier's correctness property: for every shard count the
-// scatter-gather result is bit-identical to the unsharded model — same
-// items, same scores, same order, ties and all.
+// The in-process tier's correctness property: for every shard count, even
+// or uneven split, the scatter-gather result is bit-identical to the
+// unsharded model and to one fused topk.TopK scan over the whole catalog —
+// same items, same scores, same order, ties and all.
 func TestPoolMatchesUnshardedModel(t *testing.T) {
 	m, err := model.New("gru4rec", model.Config{CatalogSize: 3_000, Seed: 7})
 	if err != nil {
@@ -94,7 +96,7 @@ func TestPoolMatchesUnshardedModel(t *testing.T) {
 	enc := m.(model.Encoder)
 	k := enc.Config().TopK
 	rng := rand.New(rand.NewSource(11))
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range []int{1, 2, 3, 4, 8} {
 		pool, err := NewPool(enc.ItemEmbeddings(), shards)
 		if err != nil {
 			t.Fatal(err)
@@ -104,8 +106,12 @@ func TestPoolMatchesUnshardedModel(t *testing.T) {
 			for i := range session {
 				session[i] = int64(rng.Intn(3_000))
 			}
+			rep := enc.Encode(session)
 			want := m.Recommend(session)
-			got := pool.TopK(enc.Encode(session), k)
+			if fused := topk.TopK(enc.ItemEmbeddings(), rep, k); !reflect.DeepEqual(fused, want) {
+				t.Fatalf("trial %d: unsharded fused scan diverged from the model\n got %v\nwant %v", trial, fused, want)
+			}
+			got := pool.TopK(rep, k)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d trial %d: sharded top-k diverged\n got %v\nwant %v", shards, trial, got, want)
 			}

@@ -6,10 +6,17 @@
 // scores all items with an inner product and returns the k best. This is the
 // O(C·(d + log k)) term from the paper's complexity analysis: C·d for the
 // scoring pass and C·log k for maintaining the best-k heap.
+//
+// TopK is the one exact kernel every catalog scan goes through (eager, JIT,
+// in-process sharded and per-partition retrieval): a single fused pass that
+// scores each row and tests it against the heap root straight away, so no
+// C-length score buffer is ever materialised. Its output is bit-identical to
+// scoring with tensor.MatVec and selecting with SelectFromScores.
 package topk
 
 import (
 	"fmt"
+	"math"
 
 	"etude/internal/tensor"
 )
@@ -20,12 +27,68 @@ type Result struct {
 	Score float32 // inner-product score
 }
 
-// TopK scores all rows of items (an [C,d] embedding matrix) against query (a
-// length-d vector) and returns the k highest-scoring items in descending
-// score order. If k exceeds C, all C items are returned.
+// TopK returns the k rows of items (a [C,d] embedding matrix) with the
+// highest inner product against query (a length-d vector), in descending
+// score order with ties broken towards the lower item id. If k exceeds C, all
+// C items are returned. Shape mismatches panic, as in tensor.MatVec.
+//
+// It is one fused pass over the catalog with no score buffer: each row's
+// score is compared against the root of the bounded min-heap (the current
+// k-th best), kept in a local threshold, and the heap is touched only when
+// the score is not below it. The result is bit-identical to
+// SelectFromScores(tensor.MatVec(items, query).Data(), k) because
+//   - every row is summed in tensor.Dot's order: four lane accumulators
+//     added as s0+s1+s2+s3, then the tail elements in order;
+//   - a row is rejected early only when its score is strictly below the
+//     root; ties and NaNs still go through the heap's own comparison.
 func TopK(items, query *tensor.Tensor, k int) []Result {
-	scores := tensor.MatVec(items, query)
-	return SelectFromScores(scores.Data(), k)
+	if items.Dims() != 2 || query.Dims() != 1 {
+		panic("topk: TopK requires a 2-D matrix and a 1-D vector")
+	}
+	c, d := items.Dim(0), items.Dim(1)
+	if query.Dim(0) != d {
+		panic(fmt.Sprintf("topk: TopK dims [%d %d] × %d", c, d, query.Dim(0)))
+	}
+	if k <= 0 {
+		return nil
+	}
+	if k > c {
+		k = c
+	}
+	// Rows are peeled off the front of data, and every lane access goes
+	// through a 4-element subslice, so the compiler checks bounds twice per
+	// lane step instead of eight times.
+	data, q := items.Data(), query.Data()[:d:d]
+	n4 := d &^ 3
+	h := newMinHeap(k)
+	// Until the heap is full nothing is below -Inf (NaN compares false), so
+	// every row is offered; from then on thr is the heap root.
+	thr := float32(math.Inf(-1))
+	for r := 0; r < c; r++ {
+		row := data[:d:d]
+		data = data[d:]
+		var s0, s1, s2, s3 float32
+		i := 0
+		for ; i < n4; i += 4 {
+			r4, q4 := row[i:i+4:i+4], q[i:i+4:i+4]
+			s0 += r4[0] * q4[0]
+			s1 += r4[1] * q4[1]
+			s2 += r4[2] * q4[2]
+			s3 += r4[3] * q4[3]
+		}
+		s := s0 + s1 + s2 + s3
+		for ; i < d; i++ {
+			s += row[i] * q[i]
+		}
+		if s < thr {
+			continue
+		}
+		h.offer(int64(r), s)
+		if len(h.items) == h.cap {
+			thr = h.scores[0]
+		}
+	}
+	return h.drainDescending()
 }
 
 // SelectFromScores returns the k largest entries of scores in descending
@@ -154,38 +217,4 @@ func (h *minHeap) drainDescending() []Result {
 		h.down(0)
 	}
 	return out
-}
-
-// Sharded scores the catalog in shards and merges per-shard top-k results.
-// It is the building block for the sampled-shard serving mode used with very
-// large catalogs on simulated accelerators (see internal/device): scoring a
-// shard preserves the code path and result shape of full-catalog MIPS while
-// bounding real compute.
-func Sharded(items, query *tensor.Tensor, k, shardSize int) []Result {
-	if shardSize <= 0 {
-		panic(fmt.Sprintf("topk: non-positive shard size %d", shardSize))
-	}
-	c := items.Dim(0)
-	h := newMinHeap(min(k, c))
-	buf := tensor.New(min(shardSize, c))
-	for from := 0; from < c; from += shardSize {
-		to := min(from+shardSize, c)
-		shard := items.Rows(from, to)
-		dst := buf
-		if to-from != buf.Dim(0) {
-			dst = tensor.New(to - from)
-		}
-		tensor.MatVecInto(dst, shard, query)
-		for i, s := range dst.Data() {
-			h.offer(int64(from+i), s)
-		}
-	}
-	return h.drainDescending()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -91,40 +91,6 @@ func TestTopKUsesInnerProduct(t *testing.T) {
 	}
 }
 
-func TestShardedMatchesFullScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c, d, k := 337, 8, 10
-	items := tensor.New(c, d)
-	for i := range items.Data() {
-		items.Data()[i] = float32(rng.NormFloat64())
-	}
-	query := tensor.New(d)
-	for i := range query.Data() {
-		query.Data()[i] = float32(rng.NormFloat64())
-	}
-	full := TopK(items, query, k)
-	for _, shardSize := range []int{1, 7, 64, 337, 1000} {
-		sharded := Sharded(items, query, k, shardSize)
-		if len(sharded) != len(full) {
-			t.Fatalf("shardSize %d: len %d != %d", shardSize, len(sharded), len(full))
-		}
-		for i := range full {
-			if sharded[i].Item != full[i].Item {
-				t.Fatalf("shardSize %d pos %d: %+v != %+v", shardSize, i, sharded[i], full[i])
-			}
-		}
-	}
-}
-
-func TestShardedBadShardSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic for shardSize 0")
-		}
-	}()
-	Sharded(tensor.New(4, 2), tensor.New(2), 2, 0)
-}
-
 // Property: heap selection equals sort baseline for random inputs, the
 // results are in non-increasing score order, and item ids are unique.
 func TestSelectProperty(t *testing.T) {
