@@ -16,13 +16,13 @@ PODS ?= inproc
 
 # Process tests exec a real etude-server; build it once here so every test
 # package shares one binary instead of each invoking `go build`.
-bin/etude-server: $(shell find cmd internal -name '*.go') go.mod
+bin/etude-server: $(shell find cmd internal -name '*.go' -o -name '*.s') go.mod
 	go build -o bin/etude-server ./cmd/etude-server
 
 # The bench harness runs from a built binary, not `go run`: only a real
 # `go build` embeds the VCS stamp that buildinfo turns into the git SHA on
 # every CSV and BENCH_*.json the harness writes.
-bin/etude: $(shell find cmd internal -name '*.go') go.mod
+bin/etude: $(shell find cmd internal -name '*.go' -o -name '*.s') go.mod
 	go build -o bin/etude ./cmd/etude
 
 build:
@@ -45,10 +45,12 @@ race:
 	go test -race ./...
 
 # A short fuzzing burst per target (go test takes one -fuzz target per run):
-# the exact MIPS kernel against its unfused reference, the power-law fit and
-# the click-log parser. A failing input is written under the package's
-# testdata/fuzz/ and from then on runs as a regression case in `go test`.
+# the SSE row-dot kernel and the exact MIPS scan against scalar tensor.Dot,
+# the power-law fit and the click-log parser. A failing input is written
+# under the package's testdata/fuzz/ and from then on runs as a regression
+# case in `go test`.
 fuzz:
+	go test -run '^$$' -fuzz '^FuzzDotRows$$' -fuzztime 10s ./internal/tensor
 	go test -run '^$$' -fuzz '^FuzzTopK$$' -fuzztime 10s ./internal/topk
 	go test -run '^$$' -fuzz '^FuzzFitFlooredPareto$$' -fuzztime 10s ./internal/powerlaw
 	go test -run '^$$' -fuzz '^FuzzReadClicks$$' -fuzztime 10s ./internal/workload
@@ -58,7 +60,8 @@ fuzz:
 # (drain/scale/rolling-update/supervisor, the process runner and control
 # plane), the server's admission control, the load generator, the
 # scatter-gather retrieval tier (goroutine fan-out, hedged sub-requests,
-# partial top-k merge, the partial-result policy and its group breakers),
+# partial top-k merge, the partial-result policy and its group breakers,
+# and the row-dot kernel and MIPS scan they all call),
 # the overload controllers (CoDel, AIMD limiter) hammered from many
 # goroutines, and the chaos drivers including the shard-blackout scenario.
 # Process tests (real SIGKILL blackouts included) use the prebuilt
@@ -72,7 +75,7 @@ check: bin/etude-server bin/etude
 	go build ./...
 	go vet ./...
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test ./...
-	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test -race ./internal/cluster ./internal/server ./internal/loadgen ./internal/trace ./internal/metrics ./internal/shard ./internal/topk ./internal/overload ./internal/chaos ./internal/leakcheck ./internal/sched ./internal/workload ./internal/deploy
+	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test -race ./internal/cluster ./internal/server ./internal/loadgen ./internal/trace ./internal/metrics ./internal/shard ./internal/tensor ./internal/topk ./internal/overload ./internal/chaos ./internal/leakcheck ./internal/sched ./internal/workload ./internal/deploy
 	$(MAKE) fuzz
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server bin/etude bench -grid bench/smoke.json
 

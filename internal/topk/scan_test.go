@@ -10,10 +10,17 @@ import (
 	"etude/internal/tensor"
 )
 
-// referenceTopK is the unfused path TopK replaced: materialise every score
-// with tensor.MatVec, then heap-select. TopK must match it bit for bit.
+// referenceTopK is the unfused oracle: score every row with scalar
+// tensor.Dot into a C-length buffer, then heap-select. It deliberately avoids
+// tensor.MatVec and tensor.DotRows, which run the kernel under test, so a
+// kernel bug cannot hide in both sides. TopK must match it bit for bit.
 func referenceTopK(items, query *tensor.Tensor, k int) []Result {
-	return SelectFromScores(tensor.MatVec(items, query).Data(), k)
+	c := items.Dim(0)
+	scores := make([]float32, c)
+	for r := range scores {
+		scores[r] = tensor.Dot(items.Row(r).Data(), query.Data())
+	}
+	return SelectFromScores(scores, k)
 }
 
 // sameResults reports whether got and want hold the same items with
@@ -39,7 +46,7 @@ func checkAgainstReference(t *testing.T, label string, items, query *tensor.Tens
 	t.Helper()
 	got, want := TopK(items, query, k), referenceTopK(items, query, k)
 	if !sameResults(got, want) {
-		t.Fatalf("%s: fused TopK diverged from MatVec+SelectFromScores\n got %v\nwant %v", label, got, want)
+		t.Fatalf("%s: TopK diverged from per-row Dot+SelectFromScores\n got %v\nwant %v", label, got, want)
 	}
 }
 
@@ -51,16 +58,17 @@ func normalTensor(rng *rand.Rand, shape ...int) *tensor.Tensor {
 	return t
 }
 
-// The exactness contract: for every d mod 4, catalogs on both sides of k,
-// and k from zero past C, the fused scan returns the same items with
-// bit-identical scores as the unfused reference — also for duplicated rows
+// The exactness contract: for every d mod 4, catalogs on both sides of k and
+// of the 256-row scoring block, and k from zero past C, the blocked scan
+// returns the same items with bit-identical scores as per-row tensor.Dot
+// followed by SelectFromScores — also for duplicated rows
 // (equal scores keep the lowest id), the all-zero query of an empty session,
 // and rows holding ±Inf and NaN.
-func TestTopKMatchesMatVecReference(t *testing.T) {
+func TestTopKMatchesDotReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for d := 1; d <= 19; d++ {
 		for _, kBase := range []int{0, 1, 21} {
-			for _, c := range []int{1, kBase - 1, kBase, kBase + 1, 10_000} {
+			for _, c := range []int{1, kBase - 1, kBase, kBase + 1, 257, 10_000} {
 				if c < 0 {
 					continue
 				}
@@ -105,9 +113,10 @@ func TestTopKShapeMismatchPanics(t *testing.T) {
 	}
 }
 
-// The fused scan keeps no C-length buffer: its allocation count is the same
-// at C=1e3 and C=1e5 (the heap's two slices and the result), so a change
-// that brings a score buffer back fails here deterministically.
+// TopK keeps no C-length buffer and its 256-row score block stays on the
+// stack: its allocation count is the same at C=1e3 and C=1e5 (the heap's two
+// slices and the result), so a change that brings a score buffer back or lets
+// the block escape fails here deterministically.
 func TestTopKAllocsIndependentOfCatalog(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	query := normalTensor(rng, 18)
@@ -124,7 +133,7 @@ func TestTopKAllocsIndependentOfCatalog(t *testing.T) {
 
 // FuzzTopK decodes a catalog shape, k and the raw float32 bits of the
 // catalog rows and the query from the input (missing bytes read as zero) and
-// checks the fused scan against the unfused reference bit for bit.
+// checks TopK against the scalar per-row Dot reference bit for bit.
 func FuzzTopK(f *testing.F) {
 	f.Add([]byte{3, 5, 2, 0, 0, 128, 63, 0, 0, 0, 64})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -145,10 +154,12 @@ func FuzzTopK(f *testing.F) {
 
 var sinkResults []Result
 
-// scanShapes are the three catalog scans the serving benchmark exercises:
+// scanShapes are the three catalog scans the serving benchmark exercises —
 // the JIT groceries-small catalog, one half of the two-shard
-// groceries-large catalog, and the whole groceries-large catalog.
-var scanShapes = []struct{ c, d int }{{10_000, 10}, {50_000, 18}, {100_000, 18}}
+// groceries-large catalog, and the whole groceries-large catalog — plus
+// d = 57, the paper's d = ⌈C^¼⌉ at C = 1e7, where a row takes 14 lane steps
+// instead of 4.
+var scanShapes = []struct{ c, d int }{{10_000, 10}, {50_000, 18}, {100_000, 18}, {10_000, 57}}
 
 func benchmarkScan(b *testing.B, scan func(items, query *tensor.Tensor, k int) []Result) {
 	for _, sh := range scanShapes {
@@ -165,9 +176,11 @@ func benchmarkScan(b *testing.B, scan func(items, query *tensor.Tensor, k int) [
 	}
 }
 
-// BenchmarkTopK measures the fused scan; MB/s is the catalog bytes streamed.
+// BenchmarkTopK measures the blocked DotRows scan; MB/s is the catalog bytes
+// streamed.
 func BenchmarkTopK(b *testing.B) { benchmarkScan(b, TopK) }
 
-// BenchmarkTopKReference measures the unfused MatVec+SelectFromScores path on
-// the same shapes, so before and after come from one command.
+// BenchmarkTopKReference measures the unfused oracle — scalar tensor.Dot per
+// row into a C-length buffer, then SelectFromScores — on the same shapes, so
+// the kernel and the scalar path come from one command.
 func BenchmarkTopKReference(b *testing.B) { benchmarkScan(b, referenceTopK) }

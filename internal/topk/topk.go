@@ -7,11 +7,13 @@
 // O(C·(d + log k)) term from the paper's complexity analysis: C·d for the
 // scoring pass and C·log k for maintaining the best-k heap.
 //
-// TopK is the one exact kernel every catalog scan goes through (eager, JIT,
-// in-process sharded and per-partition retrieval): a single fused pass that
-// scores each row and tests it against the heap root straight away, so no
-// C-length score buffer is ever materialised. Its output is bit-identical to
-// scoring with tensor.MatVec and selecting with SelectFromScores.
+// TopK is the one exact scan every catalog search goes through (eager, JIT,
+// in-process sharded and per-partition retrieval). It scores the catalog in
+// 256-row blocks with tensor.DotRows, the SSE row-dot kernel shared with
+// tensor.MatVec, into a stack buffer and tests each block against the heap
+// root, so no C-length score buffer is ever materialised. Its output is
+// bit-identical to scoring every row with tensor.Dot and selecting with
+// SelectFromScores.
 package topk
 
 import (
@@ -27,18 +29,22 @@ type Result struct {
 	Score float32 // inner-product score
 }
 
+// scoreBlock is how many catalog rows TopK scores per tensor.DotRows call: a
+// 1 KiB stack buffer, small enough to stay in L1 next to the rows it scores.
+const scoreBlock = 256
+
 // TopK returns the k rows of items (a [C,d] embedding matrix) with the
 // highest inner product against query (a length-d vector), in descending
 // score order with ties broken towards the lower item id. If k exceeds C, all
 // C items are returned. Shape mismatches panic, as in tensor.MatVec.
 //
-// It is one fused pass over the catalog with no score buffer: each row's
-// score is compared against the root of the bounded min-heap (the current
-// k-th best), kept in a local threshold, and the heap is touched only when
-// the score is not below it. The result is bit-identical to
-// SelectFromScores(tensor.MatVec(items, query).Data(), k) because
-//   - every row is summed in tensor.Dot's order: four lane accumulators
-//     added as s0+s1+s2+s3, then the tail elements in order;
+// It scores the catalog in blocks of 256 rows with tensor.DotRows into a
+// stack buffer, so no C-length score buffer exists, and then tests each
+// block's scores against the root of the bounded min-heap (the current k-th
+// best), kept in a local threshold; the heap is touched only when a score is
+// not below it. The result is bit-identical to scoring every row with
+// tensor.Dot and selecting with SelectFromScores because
+//   - DotRows reproduces Dot's summation order bit for bit;
 //   - a row is rejected early only when its score is strictly below the
 //     root; ties and NaNs still go through the heap's own comparison.
 func TopK(items, query *tensor.Tensor, k int) []Result {
@@ -55,37 +61,23 @@ func TopK(items, query *tensor.Tensor, k int) []Result {
 	if k > c {
 		k = c
 	}
-	// Rows are peeled off the front of data, and every lane access goes
-	// through a 4-element subslice, so the compiler checks bounds twice per
-	// lane step instead of eight times.
-	data, q := items.Data(), query.Data()[:d:d]
-	n4 := d &^ 3
+	data, q := items.Data(), query.Data()
 	h := newMinHeap(k)
 	// Until the heap is full nothing is below -Inf (NaN compares false), so
 	// every row is offered; from then on thr is the heap root.
 	thr := float32(math.Inf(-1))
-	for r := 0; r < c; r++ {
-		row := data[:d:d]
-		data = data[d:]
-		var s0, s1, s2, s3 float32
-		i := 0
-		for ; i < n4; i += 4 {
-			r4, q4 := row[i:i+4:i+4], q[i:i+4:i+4]
-			s0 += r4[0] * q4[0]
-			s1 += r4[1] * q4[1]
-			s2 += r4[2] * q4[2]
-			s3 += r4[3] * q4[3]
-		}
-		s := s0 + s1 + s2 + s3
-		for ; i < d; i++ {
-			s += row[i] * q[i]
-		}
-		if s < thr {
-			continue
-		}
-		h.offer(int64(r), s)
-		if len(h.items) == h.cap {
-			thr = h.scores[0]
+	var block [scoreBlock]float32
+	for base := 0; base < c; base += scoreBlock {
+		scores := block[:min(scoreBlock, c-base)]
+		tensor.DotRows(scores, data[base*d:(base+len(scores))*d], q)
+		for j, s := range scores {
+			if s < thr {
+				continue
+			}
+			h.offer(int64(base+j), s)
+			if len(h.items) == h.cap {
+				thr = h.scores[0]
+			}
 		}
 	}
 	return h.drainDescending()
